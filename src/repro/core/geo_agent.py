@@ -13,18 +13,24 @@ millisecond) and gives GeoTP two abilities the plain middleware lacks:
   middleware (Algorithm 1's ``AsyncRollback``), halving the abort latency.
 
 The agent also transparently forwards ordinary XA verbs to its data source so
-that commit, rollback and recovery traffic flow through it unchanged.
+that commit, rollback and recovery traffic flow through it unchanged.  A
+forward never blocks on anything but the data source's reply, so it runs as
+kernel callbacks (a timer for the forwarding cost, then a callback on the
+reply event) rather than as a process; only the agent's own verbs, which
+drive multi-step protocols, run as processes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Set
+from functools import partial
+from typing import Callable, Deque, Dict, Generator, Optional, Set
 
 from repro.common import AbortReason, SubtxnResult, Vote
 from repro import protocol
 from repro.sim.environment import Environment
+from repro.sim.events import Event
 from repro.sim.network import Message, Network, NetworkInterface
 
 
@@ -98,40 +104,48 @@ class GeoAgent:
         # once the retention cap is exceeded the oldest ids — long finished —
         # are forgotten, keeping agent bookkeeping O(1) with run length.
         self._xid_order: Deque[str] = deque()
-        # Verb dispatch table, built once: ``_dispatch`` consults it per message.
-        self._handlers = {protocol.MSG_AGENT_EXECUTE: self._on_agent_execute,
-                          protocol.MSG_AGENT_PREPARE: self._on_agent_prepare,
-                          protocol.MSG_PEER_ROLLBACK: self._on_peer_rollback}
+        # Verb dispatch table, built once: ``_dispatch`` calls the entry with
+        # the message.  Forwards are plain callbacks; the agent's own verbs
+        # are generators, each request spawned as its own process.
+        spawn = self._spawn
+        self._handlers: Dict[str, Callable[[Message], None]] = {
+            protocol.MSG_AGENT_EXECUTE: partial(spawn, self._on_agent_execute),
+            protocol.MSG_AGENT_PREPARE: partial(spawn, self._on_agent_prepare),
+            protocol.MSG_PEER_ROLLBACK: partial(spawn, self._on_peer_rollback)}
         for verb in _FORWARDED_VERBS:
             self._handlers[verb] = self._forward
-        # Direct-consumer inbox: see DataSource — one handler spawn per
-        # message, no server loop or get-event round trip.
+        # Direct-consumer inbox: see DataSource — every message is handled
+        # straight from delivery, no server loop or get-event round trip.
         self.net.inbox.set_consumer(self._dispatch)
 
     # ------------------------------------------------------------------ server
     def _dispatch(self, message: Message) -> None:
-        handler = self._handlers.get(message.msg_type) or self._on_unknown
+        (self._handlers.get(message.msg_type) or self._on_unknown)(message)
+
+    def _spawn(self, handler: Callable[[Message], Generator], message: Message) -> None:
+        """Serve ``message`` with a multi-step handler in its own daemon process."""
         self.env.process(handler(message), name=message.msg_type, daemon=True)
 
-    def _on_unknown(self, message: Message):
+    def _on_unknown(self, message: Message) -> None:
         if message.reply_event is not None:
             self.net.reply(message, {"status": "error",
                                      "error": f"unknown verb {message.msg_type}"})
-        return
-        yield  # pragma: no cover - makes this a generator like real handlers
 
-    def _handle(self, message: Message):
-        """Handle one message (kept for direct use by tests/tools)."""
-        handler = self._handlers.get(message.msg_type) or self._on_unknown
-        yield from handler(message)
-
-    def _forward(self, message: Message):
+    def _forward(self, message: Message) -> None:
         """Transparently forward a verb to the data source and relay the reply."""
         self.stats.forwarded += 1
-        yield self.config.forward_overhead_ms
-        reply = yield self.net.request(self.datasource, message.msg_type, message.payload)
+        self.env.call_at(self.config.forward_overhead_ms,
+                         self._forward_request, message)
+
+    def _forward_request(self, message: Message) -> None:
+        reply = self.net.request(self.datasource, message.msg_type, message.payload)
         if message.reply_event is not None:
-            self.net.reply(message, reply)
+            # The reply event is still pending here (delivery is always
+            # scheduled), so the relay runs when the data source answers.
+            reply.callbacks.append(partial(self._relay_reply, message))
+
+    def _relay_reply(self, message: Message, reply: Event) -> None:
+        self.net.reply(message, reply.value)
 
     # ----------------------------------------------------------- GeoTP execute
     def _on_agent_execute(self, message: Message):

@@ -8,7 +8,11 @@ setup) and an optional wait-for-graph deadlock detector.
 The manager is written against the simulation engine: :meth:`LockManager.acquire`
 returns an event that the data-source process yields on; the event fires with
 the grant once the lock is available, or fails with :class:`LockTimeoutError`
-(or :class:`DeadlockError`) otherwise.
+(or :class:`DeadlockError`) otherwise.  A lock that is free (or already held
+compatibly by the requester) is granted on the spot: ``acquire`` then returns
+the manager's one pre-fired ``granted`` event (already processed, value
+``0.0`` ms waited), which a yielding process consumes inline, so the common
+uncontended case allocates neither a :class:`LockRequest` nor an event.
 
 This module is part of the mypyc-compilable kernel (see
 :mod:`repro.sim._kernel`): fully annotated, relative imports only.
@@ -123,7 +127,8 @@ class LockManager:
     """Record-level strict 2PL with FIFO waiting and timeout-based abort."""
 
     __slots__ = ("env", "lock_wait_timeout_ms", "enable_deadlock_detection",
-                 "_locks", "_held_by_txn", "_pending_by_txn", "stats")
+                 "_locks", "_held_by_txn", "_pending_by_txn", "stats",
+                 "_granted")
 
     def __init__(self, env: Environment, lock_wait_timeout_ms: float = 5000.0,
                  enable_deadlock_detection: bool = False):
@@ -141,6 +146,12 @@ class LockManager:
         # system (which made each commit O(total locks)).
         self._pending_by_txn: Dict[str, List[LockRequest]] = {}
         self.stats = LockStats()
+        # Shared result of every immediate grant: already processed (no
+        # callbacks, never queued) with the waited time 0.0 as its value.
+        granted = Event(env)
+        granted.callbacks = None
+        granted._value = 0.0
+        self._granted: Event = granted
 
     # -------------------------------------------------------------- inspection
     def holders(self, key: Hashable) -> Dict[str, LockMode]:
@@ -174,14 +185,14 @@ class LockManager:
         entry = self._locks.get(key)
         if entry is None:
             self._locks[key] = entry = _LockEntry()
-        request = LockRequest(txn_id=txn_id, key=key, mode=mode,
-                              event=Event(self.env), requested_at=self.env.now)
 
-        if self._can_grant(entry, request):
-            self._grant(entry, request)
-            return request.event
+        if self._can_grant(entry, txn_id, mode):
+            self._hold(entry, txn_id, key, mode)
+            return self._granted
 
         # Must wait.
+        request = LockRequest(txn_id=txn_id, key=key, mode=mode,
+                              event=Event(self.env), requested_at=self.env.now)
         self.stats.waits += 1
         entry.queue.append(request)
 
@@ -215,19 +226,19 @@ class LockManager:
         waited = self.env.now - req.requested_at
         req.event.fail(LockTimeoutError(req.txn_id, req.key, waited))
 
-    def _can_grant(self, entry: _LockEntry, request: LockRequest) -> bool:
+    def _can_grant(self, entry: _LockEntry, txn_id: str, mode: LockMode) -> bool:
         holders = entry.holders
         if not holders:
             return not entry.queue  # respect FIFO: queued requests go first
-        if request.txn_id in holders:
-            held = holders[request.txn_id]
-            if held is LockMode.EXCLUSIVE or request.mode is LockMode.SHARED:
+        if txn_id in holders:
+            held = holders[txn_id]
+            if held is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
                 return True  # re-entrant or downgrade-compatible
             # Upgrade S -> X allowed only if we are the sole holder.
             return len(holders) == 1
         if entry.queue:
             return False  # someone is already waiting; keep FIFO order
-        return all(_compatible(held, request.mode) for held in holders.values())
+        return all(_compatible(held, mode) for held in holders.values())
 
     def _discard_pending(self, request: LockRequest) -> None:
         """Drop ``request`` from the per-txn pending index (if present)."""
@@ -240,14 +251,18 @@ class LockManager:
             if not pending:
                 del self._pending_by_txn[request.txn_id]
 
+    def _hold(self, entry: _LockEntry, txn_id: str, key: Hashable,
+              mode: LockMode) -> None:
+        """Record ``txn_id`` as a holder of ``key`` (never weakening X to S)."""
+        holders = entry.holders
+        if holders.get(txn_id) is not LockMode.EXCLUSIVE:
+            holders[txn_id] = mode
+        self._held_by_txn.setdefault(txn_id, {})[key] = None
+        self.stats.acquisitions += 1
+
     def _grant(self, entry: _LockEntry, request: LockRequest) -> None:
-        previous = entry.holders.get(request.txn_id)
-        if previous is LockMode.EXCLUSIVE:
-            effective = LockMode.EXCLUSIVE
-        else:
-            effective = request.mode
-        entry.holders[request.txn_id] = effective
-        self._held_by_txn.setdefault(request.txn_id, {})[request.key] = None
+        """Grant a request that waited in the queue and wake its waiter."""
+        self._hold(entry, request.txn_id, request.key, request.mode)
         request.granted_at = self.env.now
         timer = request.timer
         if timer is not None:
@@ -258,7 +273,6 @@ class LockManager:
         if self._pending_by_txn:
             self._discard_pending(request)
         waited = request.granted_at - request.requested_at
-        self.stats.acquisitions += 1
         self.stats.total_wait_ms += waited
         request.event.succeed(waited)
 

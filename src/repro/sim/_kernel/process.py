@@ -9,8 +9,10 @@ value), so processes can wait on each other.
 Processes are **run-to-first-yield**: ``env.process()`` executes the generator
 inline until it first suspends, instead of scheduling an init event on the
 heap.  Spawning a process therefore costs no queue entry and no dispatch —
-which matters because the server loops in ``DataSource``/``GeoAgent`` spawn
-one daemon handler per network message.  The visible consequence is that a
+which matters because ``DataSource``/``GeoAgent`` spawn one daemon handler per
+blocking request (``execute``, ``xa_rollback``, the agent's own verbs).
+Handlers that never block on a lock or a reply skip processes altogether and
+run as :meth:`Environment.call_at` timer callbacks.  The visible consequence is that a
 freshly spawned process's body has already run up to its first ``yield`` by
 the time ``env.process()`` returns (the old engine deferred that to the next
 dispatch); this same-time reordering is covered by the statistical-equivalence

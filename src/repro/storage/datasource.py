@@ -1,9 +1,15 @@
 """A network-attached simulated data source (MySQL- or PostgreSQL-like node).
 
-The data source is a simulation process listening on its network inbox.  Every
-incoming request is handled in its own sub-process so that many subtransactions
-can execute concurrently and block on record locks independently, exactly as
-sessions do in a real database server.
+The data source consumes its network inbox directly: each delivered request
+goes straight to its verb's handler.  ``execute`` blocks on record locks and
+``xa_rollback`` on a chain of cost steps, so each of those requests runs in
+its own daemon process: many subtransactions execute concurrently and block
+on locks independently, exactly as sessions do in a real database server.
+The rare administrative verbs (``crash``, ``restart``, ``ping``) are served
+the same way.  Every other verb never blocks: it pays one fixed cost and
+replies, so it is served as a kernel timer callback
+(``env.call_at(cost, finish, ...)``) with no process at all.  The timer takes
+the same heap slot a ``yield cost`` sleep would, so timing is unchanged.
 
 Supported verbs (see :mod:`repro.protocol`):
 
@@ -19,7 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, Generator, Hashable, List, Optional, Tuple
 
 from repro.common import AbortReason, Operation, OperationResult, OpType, SubtxnResult, Vote
 from repro import protocol
@@ -92,28 +99,30 @@ class DataSource:
         self.transactions: Dict[str, LocalTransaction] = {}
         self._finished_xids: Deque[str] = deque()
         self.crashed = False
-        # Verb dispatch table, built once: ``_handle`` runs per message.
-        self._handlers = {
+        # Verb dispatch table, built once: ``_dispatch`` calls the entry with
+        # the message.  Non-blocking verbs are plain callbacks; the blocking
+        # ones are generators, each request spawned as its own process.
+        spawn = self._spawn
+        self._handlers: Dict[str, Callable[[Message], None]] = {
             protocol.MSG_XA_START: self._on_xa_start,
-            protocol.MSG_EXECUTE: self._on_execute,
+            protocol.MSG_EXECUTE: partial(spawn, self._on_execute),
             protocol.MSG_XA_END: self._on_xa_end,
             protocol.MSG_XA_PREPARE: self._on_xa_prepare,
             protocol.MSG_XA_COMMIT: self._on_xa_commit,
-            protocol.MSG_XA_ROLLBACK: self._on_xa_rollback,
+            protocol.MSG_XA_ROLLBACK: partial(spawn, self._on_xa_rollback),
             protocol.MSG_COMMIT_ONE_PHASE: self._on_commit_one_phase,
             protocol.MSG_LIST_PREPARED: self._on_list_prepared,
             protocol.MSG_TXN_STATE: self._on_txn_state,
             protocol.MSG_KV_GET: self._on_kv_get,
             protocol.MSG_KV_PUT: self._on_kv_put,
             protocol.MSG_KV_PUT_IF_VERSION: self._on_kv_put_if_version,
-            protocol.MSG_CRASH: self._on_crash,
-            protocol.MSG_RESTART: self._on_restart,
-            protocol.MSG_PING: self._on_ping,
+            protocol.MSG_CRASH: partial(spawn, self._on_crash),
+            protocol.MSG_RESTART: partial(spawn, self._on_restart),
+            protocol.MSG_PING: partial(spawn, self._on_ping),
         }
-        # Direct-consumer inbox: every delivered message spawns its handler
-        # generator straight from the network's delivery dispatch — no server
-        # loop, no get-event, no extra resume per message.  The handler runs
-        # inline until its first yield (run-to-first-yield processes).
+        # Direct-consumer inbox: every delivered message is handled straight
+        # from the network's delivery dispatch — no server loop, no get-event,
+        # no extra resume per message.
         self.net.inbox.set_consumer(self._dispatch)
 
     # ------------------------------------------------------------------ loading
@@ -123,9 +132,6 @@ class DataSource:
 
     # ------------------------------------------------------------------- server
     def _dispatch(self, message: Message) -> None:
-        # Dispatch straight to the per-verb handler generator: routing through
-        # a wrapper generator would add a delegating frame to every resume of
-        # every handler, which is the hottest path in the simulator.
         if self.crashed and message.msg_type != protocol.MSG_RESTART:
             # A crashed *process* refuses connections immediately (the OS
             # resets them), so callers fail fast and can abort/retry instead
@@ -134,15 +140,20 @@ class DataSource:
             self._refuse_crashed(message)
             return
         self.stats.requests_handled += 1
-        handler = self._handlers.get(message.msg_type) or self._on_unknown
+        (self._handlers.get(message.msg_type) or self._on_unknown)(message)
+
+    def _spawn(self, handler: Callable[[Message], Generator], message: Message) -> None:
+        """Serve ``message`` with a blocking handler in its own daemon process.
+
+        The handler runs inline until its first yield (run-to-first-yield
+        processes), straight from the delivery dispatch; a direct generator
+        (no wrapper delegating to it) keeps every later resume one frame deep.
+        """
         self.env.process(handler(message), name=message.msg_type, daemon=True)
 
-    def _on_unknown(self, message: Message):
-        if message.reply_event is not None:
-            self.net.reply(message, {"status": "error",
-                                     "error": f"unknown verb {message.msg_type}"})
-        return
-        yield  # pragma: no cover - makes this a generator like real handlers
+    def _on_unknown(self, message: Message) -> None:
+        self._reply(message, {"status": "error",
+                              "error": f"unknown verb {message.msg_type}"})
 
     def _refuse_crashed(self, message: Message) -> None:
         """Answer a request aimed at the crashed node with a refusal.
@@ -166,27 +177,26 @@ class DataSource:
             reply = {"status": "error", "error": "data source crashed"}
         self.net.reply(message, reply)
 
-    def _handle(self, message: Message):
-        """Handle one message (kept for direct use by tests/tools)."""
-        self.stats.requests_handled += 1
-        handler = self._handlers.get(message.msg_type)
-        if handler is None:
-            yield from self._on_unknown(message)
-            return
-        yield from handler(message)
-
     def _reply(self, message: Message, value) -> None:
         if message.reply_event is not None:
             self.net.reply(message, value)
 
     # --------------------------------------------------------------- XA verbs
-    def _on_xa_start(self, message: Message):
+    # The callback verbs come in pairs: ``_on_<verb>`` runs on delivery and
+    # arms a kernel timer for the verb's cost; ``_finish_<verb>`` runs when
+    # the cost has been paid and replies.  ``_finish_*`` re-checks branch
+    # state where a concurrent rollback or session kill may have finished
+    # the branch while the cost was being paid.
+    def _on_xa_start(self, message: Message) -> None:
+        self.env.call_at(self.config.request_overhead_ms,
+                         self._finish_xa_start, message)
+
+    def _finish_xa_start(self, message: Message) -> None:
         payload = message.payload or {}
         xid = payload["xid"]
-        global_txn_id = payload.get("global_txn_id", xid)
-        yield self.config.request_overhead_ms
         self.transactions[xid] = LocalTransaction(
-            xid=xid, global_txn_id=global_txn_id, started_at=self.env.now)
+            xid=xid, global_txn_id=payload.get("global_txn_id", xid),
+            started_at=self.env.now)
         self._reply(message, {"status": "ok"})
 
     def _on_execute(self, message: Message):
@@ -307,26 +317,30 @@ class DataSource:
             local_execution_ms=self.env.now - started,
             per_record_latency=per_record, prepared=prepared))
 
-    def _on_xa_end(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
-        yield self.config.request_overhead_ms
+    def _on_xa_end(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
+        self.env.call_at(self.config.request_overhead_ms,
+                         self._finish_xa_end, message, txn)
+
+    def _finish_xa_end(self, message: Message,
+                       txn: Optional[LocalTransaction]) -> None:
         if txn is None or txn.state is not TxnState.ACTIVE:
             self._reply(message, {"status": "error", "error": "not active"})
             return
         txn.mark_end()
         self._reply(message, {"status": "ok"})
 
-    def _on_xa_prepare(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
+    def _on_xa_prepare(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None or txn.state not in (TxnState.ACTIVE, TxnState.IDLE):
-            yield self.config.request_overhead_ms
-            self._reply(message, {"vote": Vote.NO,
-                                  "error": "transaction not preparable"})
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"vote": Vote.NO, "error": "transaction not preparable"})
             return
         # Persist transaction state + WAL (the paper's prepare cost, Fig. 6c).
-        yield self.dialect.prepare_cost_ms
+        self.env.call_at(self.dialect.prepare_cost_ms,
+                         self._finish_xa_prepare, message, txn)
+
+    def _finish_xa_prepare(self, message: Message, txn: LocalTransaction) -> None:
         if txn.state not in (TxnState.ACTIVE, TxnState.IDLE):
             # The branch was rolled back while the prepare cost was being
             # paid (peer abort, or its coordinator's sessions were killed by
@@ -334,25 +348,29 @@ class DataSource:
             self._reply(message, {"vote": Vote.NO,
                                   "error": "transaction not preparable"})
             return
+        xid = txn.xid
         self.wal.append(LogRecordType.PREPARE, xid, self.env.now,
                         payload={"writes": len(self.engine.write_set(xid))})
         txn.mark_prepared()
         self.stats.prepares += 1
         self._reply(message, {"vote": Vote.YES})
 
-    def _on_xa_commit(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
+    def _on_xa_commit(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None:
-            yield self.config.request_overhead_ms
-            self._reply(message, {"status": "error", "error": "unknown xid"})
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"status": "error", "error": "unknown xid"})
             return
         if txn.state is TxnState.COMMITTED:
             # Idempotent: recovery may re-send the decision.
-            yield self.config.request_overhead_ms
-            self._reply(message, {"status": "ok", "already": True})
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"status": "ok", "already": True})
             return
-        yield self.dialect.commit_cost_ms
+        self.env.call_at(self.dialect.commit_cost_ms,
+                         self._finish_xa_commit, message, txn)
+
+    def _finish_xa_commit(self, message: Message, txn: LocalTransaction) -> None:
+        xid = txn.xid
         self.engine.commit_writes(xid)
         self.wal.append(LogRecordType.COMMIT, xid, self.env.now)
         txn.mark_committed(self.env.now)
@@ -377,20 +395,24 @@ class DataSource:
         yield from self._abort_locally(txn)
         self._reply(message, {"status": "ok"})
 
-    def _on_commit_one_phase(self, message: Message):
+    def _on_commit_one_phase(self, message: Message) -> None:
         """Single-source transactions commit without a separate prepare."""
-        xid = (message.payload or {})["xid"]
-        txn = self.transactions.get(xid)
+        txn = self.transactions.get((message.payload or {})["xid"])
         if txn is None or txn.is_finished:
-            yield self.config.request_overhead_ms
-            self._reply(message, {"status": "error", "error": "not committable"})
+            self.env.call_at(self.config.request_overhead_ms, self._reply, message,
+                             {"status": "error", "error": "not committable"})
             return
-        yield self.dialect.commit_cost_ms
+        self.env.call_at(self.dialect.commit_cost_ms,
+                         self._finish_commit_one_phase, message, txn)
+
+    def _finish_commit_one_phase(self, message: Message,
+                                 txn: LocalTransaction) -> None:
         if txn.is_finished:
             # Aborted (e.g. coordinator-crash session kill) while the commit
             # cost was being paid: the branch's outcome already stuck.
             self._reply(message, {"status": "error", "error": "not committable"})
             return
+        xid = txn.xid
         self.engine.commit_writes(xid)
         self.wal.append(LogRecordType.COMMIT, xid, self.env.now)
         txn.mark_committed_one_phase(self.env.now)
@@ -452,16 +474,21 @@ class DataSource:
                 killed += 1
         return killed
 
-    def _on_list_prepared(self, message: Message):
-        yield self.config.request_overhead_ms
+    def _on_list_prepared(self, message: Message) -> None:
+        self.env.call_at(self.config.request_overhead_ms,
+                         self._finish_list_prepared, message)
+
+    def _finish_list_prepared(self, message: Message) -> None:
         prepared = [xid for xid, txn in self.transactions.items()
                     if txn.state is TxnState.PREPARED]
         self._reply(message, {"prepared": prepared})
 
-    def _on_txn_state(self, message: Message):
-        xid = (message.payload or {})["xid"]
-        yield self.config.request_overhead_ms
-        txn = self.transactions.get(xid)
+    def _on_txn_state(self, message: Message) -> None:
+        self.env.call_at(self.config.request_overhead_ms,
+                         self._finish_txn_state, message)
+
+    def _finish_txn_state(self, message: Message) -> None:
+        txn = self.transactions.get((message.payload or {})["xid"])
         self._reply(message, {"state": txn.state.value if txn else "unknown"})
 
     def _rollback_lost_branch(self, txn: LocalTransaction) -> None:
@@ -496,9 +523,12 @@ class DataSource:
         self._reply(message, {"status": "ok", "time": self.env.now})
 
     # ------------------------------------------------- key-value verbs (ScalarDB)
-    def _on_kv_get(self, message: Message):
+    def _on_kv_get(self, message: Message) -> None:
+        self.env.call_at(self.config.request_overhead_ms + self.dialect.read_cost_ms,
+                         self._finish_kv_get, message)
+
+    def _finish_kv_get(self, message: Message) -> None:
         payload = message.payload or {}
-        yield self.config.request_overhead_ms + self.dialect.read_cost_ms
         record = self.engine.table(payload["table"]).get(payload["key"])
         if record is None:
             self._reply(message, {"found": False})
@@ -506,17 +536,23 @@ class DataSource:
             self._reply(message, {"found": True, "value": record.value,
                                   "version": record.version})
 
-    def _on_kv_put(self, message: Message):
+    def _on_kv_put(self, message: Message) -> None:
+        self.env.call_at(self.config.request_overhead_ms + self.dialect.write_cost_ms,
+                         self._finish_kv_put, message)
+
+    def _finish_kv_put(self, message: Message) -> None:
         payload = message.payload or {}
-        yield self.config.request_overhead_ms + self.dialect.write_cost_ms
         record = self.engine.table(payload["table"]).put(
             payload["key"], payload["value"], writer=payload.get("writer", "kv"))
         self._reply(message, {"status": "ok", "version": record.version})
 
-    def _on_kv_put_if_version(self, message: Message):
+    def _on_kv_put_if_version(self, message: Message) -> None:
         """Conditional write used by middleware-side concurrency control."""
+        self.env.call_at(self.config.request_overhead_ms + self.dialect.write_cost_ms,
+                         self._finish_kv_put_if_version, message)
+
+    def _finish_kv_put_if_version(self, message: Message) -> None:
         payload = message.payload or {}
-        yield self.config.request_overhead_ms + self.dialect.write_cost_ms
         table = self.engine.table(payload["table"])
         record = table.get(payload["key"])
         current_version = record.version if record else 0

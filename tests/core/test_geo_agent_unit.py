@@ -1,5 +1,7 @@
 """Focused unit tests for the geo-agent's forwarding and peer-abort behaviour."""
 
+import pytest
+
 from repro import protocol
 from repro.common import Operation, OpType
 from repro.core import GeoAgent, GeoAgentConfig
@@ -149,3 +151,24 @@ def test_peer_rollback_for_forgotten_id_takes_the_poison_path():
     env.run()
     assert "ancient" in agent._poisoned
     assert agent.stats.peer_rollbacks_handled == 1
+
+
+def test_forwarded_verb_reply_time_adds_the_forward_overhead_and_lan_round_trip():
+    env, net, ds, agent, dm = build_agent_pair()
+    timing = {}
+
+    def driver():
+        sent = env.now
+        timing["reply"] = yield dm.request("agent-ds0", protocol.MSG_TXN_STATE,
+                                           {"xid": "nope"})
+        timing["elapsed"] = env.now - sent
+
+    env.process(driver())
+    env.run()
+    # WAN round trip to the agent (20 ms) + forward overhead + LAN round trip
+    # to the data source (0.5 ms) + the data source's request overhead.
+    expected = (20.0 + agent.config.forward_overhead_ms + 0.5
+                + ds.config.request_overhead_ms)
+    assert timing["elapsed"] == pytest.approx(expected)
+    assert timing["reply"] == {"state": "unknown"}
+    assert agent.stats.forwarded == 1

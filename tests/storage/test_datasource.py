@@ -378,3 +378,120 @@ def test_in_doubt_transactions_survive_retention_pressure():
     # still resident for recovery, whatever the churn around it.
     assert ds.transactions["doubt"].state is TxnState.PREPARED
     assert len(ds.transactions) <= 4 + 1
+
+
+# ------------------------------------------- reply timing and cost-window races
+def open_branch(client, xid, key="k", value=1):
+    """Start ``xid`` and buffer one write on it (a generator to yield from)."""
+    yield client.request("ds1", protocol.MSG_XA_START, {"xid": xid})
+    result = yield client.request("ds1", protocol.MSG_EXECUTE,
+                                  {"xid": xid, "operations": [write_op(key, value)]})
+    assert result.success
+
+
+@pytest.mark.parametrize("verb, cost", [
+    (protocol.MSG_XA_END, "request_overhead_ms"),
+    (protocol.MSG_XA_PREPARE, "prepare_cost_ms"),
+    (protocol.MSG_XA_COMMIT, "commit_cost_ms"),
+    (protocol.MSG_COMMIT_ONE_PHASE, "commit_cost_ms"),
+])
+def test_verb_reply_arrives_one_rtt_plus_its_cost_after_the_request(verb, cost):
+    env, net, ds, client = make_datasource(rtt_ms=10.0)
+    ds.load_table("usertable", {"k": 1})
+    timing = {}
+
+    def coordinator():
+        yield from open_branch(client, "x")
+        if verb == protocol.MSG_XA_COMMIT:
+            yield client.request("ds1", protocol.MSG_XA_END, {"xid": "x"})
+            yield client.request("ds1", protocol.MSG_XA_PREPARE, {"xid": "x"})
+        sent = env.now
+        timing["reply"] = yield client.request("ds1", verb, {"xid": "x"})
+        timing["elapsed"] = env.now - sent
+
+    env.process(coordinator())
+    env.run()
+    expected_cost = (ds.config.request_overhead_ms if cost == "request_overhead_ms"
+                     else getattr(ds.dialect, cost))
+    assert timing["elapsed"] == pytest.approx(10.0 + expected_cost)
+    reply = timing["reply"]
+    assert reply.get("status", "ok") == "ok" and reply.get("vote", Vote.YES) is Vote.YES
+
+
+def test_branch_rolled_back_while_prepare_cost_is_paid_votes_no():
+    env, net, ds, client = make_datasource()
+    ds.load_table("usertable", {"k": 1})
+    replies = {}
+
+    def prepare():
+        replies["prepare"] = yield client.request("ds1", protocol.MSG_XA_PREPARE,
+                                                  {"xid": "x"})
+
+    def rollback():
+        replies["rollback"] = yield client.request("ds1", protocol.MSG_XA_ROLLBACK,
+                                                   {"xid": "x"})
+
+    def coordinator():
+        yield from open_branch(client, "x")
+        # Both requests reach the node together; the rollback (overhead plus
+        # half a commit) finishes inside the 2 ms prepare cost.
+        env.process(prepare())
+        env.process(rollback())
+
+    env.process(coordinator())
+    env.run()
+    assert replies["rollback"]["status"] == "ok"
+    assert replies["prepare"] == {"vote": Vote.NO, "error": "transaction not preparable"}
+    assert ds.transactions["x"].state is TxnState.ABORTED
+    assert ds.stats.prepares == 0
+    assert ds.engine.read("probe", "usertable", "k").value == 1
+
+
+def test_branch_finished_while_one_phase_commit_cost_is_paid_is_not_committable():
+    env, net, ds, client = make_datasource()
+    ds.load_table("usertable", {"k": 1})
+    replies = {}
+
+    def commit():
+        replies["commit"] = yield client.request("ds1", protocol.MSG_COMMIT_ONE_PHASE,
+                                                 {"xid": "x"})
+
+    def rollback():
+        replies["rollback"] = yield client.request("ds1", protocol.MSG_XA_ROLLBACK,
+                                                   {"xid": "x"})
+
+    def coordinator():
+        yield from open_branch(client, "x", value=9)
+        env.process(commit())
+        env.process(rollback())
+
+    env.process(coordinator())
+    env.run()
+    assert replies["rollback"]["status"] == "ok"
+    assert replies["commit"] == {"status": "error", "error": "not committable"}
+    assert ds.transactions["x"].state is TxnState.ABORTED
+    assert ds.stats.commits == 0
+    assert ds.engine.read("probe", "usertable", "k").value == 1
+
+
+def test_xa_end_on_a_branch_that_is_not_active_replies_with_an_error():
+    env, net, ds, client = make_datasource(rtt_ms=10.0)
+    ds.load_table("usertable", {"k": 1})
+    replies = {}
+
+    def coordinator():
+        replies["unknown"] = yield client.request("ds1", protocol.MSG_XA_END,
+                                                  {"xid": "ghost"})
+        yield from open_branch(client, "x")
+        replies["first"] = yield client.request("ds1", protocol.MSG_XA_END, {"xid": "x"})
+        sent = env.now
+        replies["second"] = yield client.request("ds1", protocol.MSG_XA_END, {"xid": "x"})
+        replies["elapsed"] = env.now - sent
+
+    env.process(coordinator())
+    env.run()
+    assert replies["unknown"] == {"status": "error", "error": "not active"}
+    assert replies["first"] == {"status": "ok"}
+    assert replies["second"] == {"status": "error", "error": "not active"}
+    assert replies["elapsed"] == pytest.approx(10.0 + ds.config.request_overhead_ms)
+    assert ds.transactions["x"].state is TxnState.IDLE

@@ -416,3 +416,37 @@ def test_release_all_is_scoped_to_the_releasing_transaction():
     env.process(waiter("t3"))
     env.run()
     assert granted == [(5.0, "t2"), (5.0, "t3")]
+
+
+def test_deadlock_detector_ignores_plain_waits_and_acyclic_diamonds():
+    """Only a real cycle is a deadlock: a plain wait and a diamond-shaped
+    wait-for graph (one holder reached along two paths) must both wait."""
+    env = Environment()
+    lm = LockManager(env, lock_wait_timeout_ms=100_000, enable_deadlock_detection=True)
+    failures = []
+
+    def waiter(txn, key, mode):
+        try:
+            yield lm.acquire(txn, key, mode)
+        except DeadlockError as exc:
+            failures.append(exc)
+
+    def scenario():
+        yield lm.acquire("D", "d", LockMode.EXCLUSIVE)
+        yield lm.acquire("B", "bc", LockMode.SHARED)
+        yield lm.acquire("C", "bc", LockMode.SHARED)
+        # Plain wait: B -> D.
+        env.process(waiter("B", "d", LockMode.EXCLUSIVE))
+        # Second path to the same holder: C -> D.
+        env.process(waiter("C", "d", LockMode.EXCLUSIVE))
+        # A waits on both readers: A -> B, A -> C (a diamond over D).
+        env.process(waiter("A", "bc", LockMode.EXCLUSIVE))
+        yield env.timeout(10)
+
+    env.process(scenario())
+    env.run(until=50)
+    assert failures == []
+    assert lm.stats.deadlocks == 0
+    assert lm.wait_for_graph() == {"A": {"B", "C"}, "B": {"D"}, "C": {"D"}}
+    assert lm.waiting_transactions("d") == ["B", "C"]
+    assert lm.waiting_transactions("bc") == ["A"]
