@@ -788,11 +788,12 @@ LOAD_SWEEP_SYSTEMS = ("ssp", "scalardb_plus", "geotp")
 LOAD_SWEEP_RATES = (50.0, 100.0, 200.0, 400.0, 800.0)
 
 #: YCSB table for the open-system families: moderate keyspace, **fully
-#: materialised at load time**.  Lazily-created cold rows would otherwise grow
-#: the modelled database for the entire run (the zipfian tail keeps finding
+#: preloaded**.  Lazily-created cold rows would otherwise grow the modelled
+#: database's key set for the entire run (the zipfian tail keeps finding
 #: fresh keys), which a long saturated point cannot distinguish from a
-#: middleware leak.  With the table preloaded, database state is identical at
-#: every run length and the flat-RSS property being measured is the
+#: middleware leak.  With the table preloaded, the key set is identical at
+#: every run length; rows only gain a ``Record`` on first touch, which the
+#: table size bounds, so the flat-RSS property being measured is the
 #: middleware's and the metrics pipeline's alone.  Contention is governed by
 #: the skew, not the table size, so the knee story is unchanged.
 def _open_system_ycsb() -> YCSBConfig:

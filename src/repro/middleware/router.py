@@ -16,6 +16,7 @@ must coexist.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Hashable, List, Optional, Sequence
 
 
@@ -39,11 +40,17 @@ class Partitioner:
 
 
 class ModuloPartitioner(Partitioner):
-    """Integer keys striped across data sources by ``key % node_count``."""
+    """Integer keys striped across data sources by ``key % node_count``.
+
+    Any other key is striped by a CRC-32 of its ``repr``: the built-in
+    ``hash()`` of ``str``, ``bytes`` and tuples of them is salted per process
+    (``PYTHONHASHSEED``), so it would route one key differently in different
+    processes.
+    """
 
     def locate(self, table: str, key: Hashable) -> str:
-        if isinstance(key, bool) or not isinstance(key, int):
-            key = abs(hash(key))
+        if not isinstance(key, int):  # bool is an int: True/False go to 1/0
+            key = zlib.crc32(repr(key).encode())
         return self.datasource_names[key % self.node_count]
 
     def key_for_node(self, node_index: int, sequence: int) -> int:

@@ -307,7 +307,7 @@ class DataSource:
                     per_record_latency=per_record))
                 return
             self.wal.append(LogRecordType.PREPARE, xid, self.env.now,
-                            payload={"writes": len(self.engine.write_set(xid))})
+                            payload={"writes": self.engine.write_count(xid)})
             txn.mark_prepared()
             self.stats.prepares += 1
             prepared = True
@@ -350,7 +350,7 @@ class DataSource:
             return
         xid = txn.xid
         self.wal.append(LogRecordType.PREPARE, xid, self.env.now,
-                        payload={"writes": len(self.engine.write_set(xid))})
+                        payload={"writes": self.engine.write_count(xid)})
         txn.mark_prepared()
         self.stats.prepares += 1
         self._reply(message, {"vote": Vote.YES})

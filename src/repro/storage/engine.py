@@ -1,9 +1,12 @@
 """Key-value storage engine of a simulated data source.
 
-Tables map keys to :class:`~repro.storage.record.Record` objects.  Writes made
-by in-flight transactions are buffered per transaction in a write set and only
-installed at commit time, which makes rollback trivial and matches the
-"committed state only" view that strict 2PL provides to readers.
+Tables map keys to :class:`~repro.storage.record.Record` objects.  Bulk-loaded
+rows are kept copy-on-write: a row becomes a ``Record`` only when a run first
+gets or puts it, so set-up costs one dict update per table however many rows
+are preloaded.  Writes made by in-flight transactions are buffered per
+transaction in a write set and only installed at commit time, which makes
+rollback trivial and matches the "committed state only" view that strict 2PL
+provides to readers.
 """
 
 from __future__ import annotations
@@ -14,39 +17,69 @@ from repro.storage.record import Record, RecordSnapshot
 
 RecordId = Tuple[str, Hashable]
 
+#: ``last_writer`` of a row that was bulk-loaded and never written since.
+LOADER = "loader"
+
+#: Sentinel for "no such preloaded row" (a loaded value may itself be None).
+_ABSENT = object()
+
 
 class Table:
-    """A named collection of records."""
+    """A named collection of records.
+
+    Rows live in one of two layers.  ``_preloaded`` holds bulk-loaded rows
+    that no get or put has reached yet, as plain ``key -> value`` entries; an
+    entry there stands for ``Record(key, value, version=1,
+    last_writer="loader")``.  The first :meth:`get` or :meth:`put` of such a
+    key moves it into ``_records`` as a real :class:`Record`.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self._records: Dict[Hashable, Record] = {}
+        self._preloaded: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) + len(self._preloaded)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._records
+        return key in self._records or key in self._preloaded
 
     def get(self, key: Hashable) -> Optional[Record]:
         """The record for ``key`` or None."""
-        return self._records.get(key)
+        record = self._records.get(key)
+        if record is None:
+            value = self._preloaded.pop(key, _ABSENT)
+            if value is not _ABSENT:
+                record = self._records[key] = Record(key, value, 1, LOADER)
+        return record
 
-    def put(self, key: Hashable, value: Any, writer: str = "loader") -> Record:
+    def put(self, key: Hashable, value: Any, writer: str = LOADER) -> Record:
         """Insert or overwrite the committed value of ``key``."""
         record = self._records.get(key)
         if record is None:
-            record = self._records[key] = Record(key=key)
-        # Record.apply_write, inlined: commits and bulk loads funnel through
-        # here, making this the storage engine's hottest statement sequence.
+            # First write of the key: an untouched preloaded row is at
+            # version 1, so this write makes it 2; a new key starts at 1.
+            version = 1 if self._preloaded.pop(key, _ABSENT) is _ABSENT else 2
+            record = self._records[key] = Record(key, value, version, writer)
+            return record
+        # Record.apply_write, inlined: commits funnel through here, making
+        # this the storage engine's hottest statement sequence.
         record.value = value
         record.version += 1
         record.last_writer = writer
         return record
 
+    def version_of(self, key: Hashable) -> int:
+        """Committed version of ``key`` (0 if absent), without building a record."""
+        record = self._records.get(key)
+        if record is not None:
+            return record.version
+        return 1 if key in self._preloaded else 0
+
     def keys(self) -> Iterable[Hashable]:
-        """Iterate over all keys in the table."""
-        return self._records.keys()
+        """All keys in the table, touched rows first."""
+        return [*self._records, *self._preloaded]
 
 
 class StorageEngine:
@@ -79,50 +112,54 @@ class StorageEngine:
     # ------------------------------------------------------------------- loads
     def load(self, table_name: str, key: Hashable, value: Any) -> None:
         """Bulk-load a committed record (no locking, used during setup)."""
-        self.create_table(table_name).put(key, value)
+        self.bulk_load(table_name, {key: value})
 
     def bulk_load(self, table_name: str, rows: "Dict[Hashable, Any]") -> None:
         """Load many committed rows at once (setup fast path).
 
         Fresh keys — the overwhelming case, since preloads target empty
-        tables — are materialised in one dict-comprehension pass instead of
-        one :meth:`Table.put` call per row; keys that already exist fall back
-        to ``put`` so reload semantics (version bump) are preserved.
+        tables — go into the table's preloaded layer in one dict update and
+        build no record; keys that already exist go through ``put`` so a
+        reload bumps their version.
         """
         table = self.create_table(table_name)
-        records = table._records
-        if records:
-            existing = records.keys() & rows.keys()
-            if existing:
-                put = table.put
-                fresh = {key: value for key, value in rows.items()
-                         if key not in existing}
-                for key in existing:
-                    put(key, rows[key])
-                rows = fresh
-        records.update({
-            key: Record(key=key, value=value, version=1, last_writer="loader")
-            for key, value in rows.items()})
+        if len(table):
+            put = table.put
+            fresh = {}
+            for key, value in rows.items():
+                if key in table:
+                    put(key, value)
+                else:
+                    fresh[key] = value
+            rows = fresh
+        table._preloaded.update(rows)
 
     # -------------------------------------------------------------------- reads
     def read(self, txn_id: str, table_name: str, key: Hashable) -> Optional[RecordSnapshot]:
         """Read the latest value visible to ``txn_id``.
 
         A transaction sees its own buffered writes; otherwise the committed
-        record value (strict 2PL guarantees no other uncommitted writer).
+        record value (strict 2PL guarantees no other uncommitted writer).  An
+        untouched preloaded row is read from the preloaded layer as is.
         """
         table = self._tables.get(table_name)
-        record = table._records.get(key) if table is not None else None
         write_set = self._write_sets.get(txn_id)
         if write_set:
             record_id = (table_name, key)
             if record_id in write_set:
-                return RecordSnapshot(key=key, value=write_set[record_id],
-                                      version=record.version if record else 0)
-        if record is None:
+                return RecordSnapshot(
+                    key=key, value=write_set[record_id],
+                    version=table.version_of(key) if table is not None else 0)
+        if table is None:
             return None
-        return RecordSnapshot(key=record.key, value=record.value,
-                              version=record.version)
+        record = table._records.get(key)
+        if record is not None:
+            return RecordSnapshot(key=record.key, value=record.value,
+                                  version=record.version)
+        value = table._preloaded.get(key, _ABSENT)
+        if value is _ABSENT:
+            return None
+        return RecordSnapshot(key=key, value=value, version=1)
 
     # ------------------------------------------------------------------- writes
     def buffer_write(self, txn_id: str, table_name: str, key: Hashable, value: Any) -> None:
@@ -132,6 +169,10 @@ class StorageEngine:
     def write_set(self, txn_id: str) -> Dict[RecordId, Any]:
         """The buffered writes of ``txn_id`` (may be empty)."""
         return dict(self._write_sets.get(txn_id, {}))
+
+    def write_count(self, txn_id: str) -> int:
+        """How many writes ``txn_id`` has buffered, without copying them."""
+        return len(self._write_sets.get(txn_id, ()))
 
     def commit_writes(self, txn_id: str) -> int:
         """Install all buffered writes of ``txn_id``; return how many."""

@@ -34,10 +34,12 @@ class YCSBConfig(WorkloadConfig):
     #: simulation defaults to a smaller key space (contention behaviour is
     #: governed by the skew, not the absolute table size).
     records_per_node: int = 100_000
-    #: Rows actually materialised per node at load time.  Only the hottest keys
-    #: matter for contention; cold keys are created lazily on first write and
-    #: read as missing before that, which keeps memory bounded without changing
-    #: locking behaviour (locks are taken on keys, not on stored rows).
+    #: Rows bulk-loaded per node (the first ``preload_rows_per_node`` keys of
+    #: each node).  The storage engine keeps them as plain values and builds a
+    #: row's record only when a run first touches it.  Only the hottest keys
+    #: matter for contention; keys past the preload are created on first write
+    #: and read as missing before that, which keeps memory bounded without
+    #: changing locking behaviour (locks are taken on keys, not on stored rows).
     preload_rows_per_node: int = 5_000
     #: Zipfian skew factor (theta).
     skew: float = 0.9
@@ -86,10 +88,12 @@ class YCSBWorkload(Workload):
         # replace record values wholesale (nothing mutates them in place), so
         # all rows can share a single dict instead of allocating one per key.
         row = {"field0": payload}
+        # Node ``i`` holds keys ``key_for_node(i, s) = s * n + i``: the stride-n
+        # range from ``i``, in the same order, built by one C-level call.
+        n = len(self.datasource_names)
         for node_index, name in enumerate(self.datasource_names):
-            key_for_node = self._partitioner.key_for_node
-            data[name] = {TABLE: {key_for_node(node_index, sequence): row
-                                  for sequence in range(preload)}}
+            data[name] = {TABLE: dict.fromkeys(
+                range(node_index, preload * n, n), row)}
         return data
 
     def next_transaction(self, terminal_id: int = 0) -> TransactionSpec:

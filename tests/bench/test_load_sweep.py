@@ -45,8 +45,8 @@ def test_scenario_is_registered_with_system_and_rate_axes():
     assert axes == {"system", "rate_tps"}
     assert scenario.base.arrival is not None
     assert scenario.base.arrival.process == "poisson"
-    # The scenario table is fully materialised at load time so the modelled
-    # database is identical at every run length (see _open_system_ycsb).
+    # The scenario table is fully preloaded so the modelled database's key
+    # set is identical at every run length (see _open_system_ycsb).
     assert scenario.base.ycsb.preload_rows_per_node >= \
         scenario.base.ycsb.records_per_node
 

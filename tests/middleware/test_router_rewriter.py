@@ -1,5 +1,10 @@
 """Unit tests for partitioners and the statement rewriter."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.common import Operation, OpType
@@ -35,6 +40,33 @@ def test_modulo_partitioner_hashes_non_integer_keys():
     partitioner = ModuloPartitioner(NODES)
     located = partitioner.locate("usertable", "user42")
     assert located in NODES
+
+
+def test_modulo_partitioner_routes_non_integer_keys_alike_under_any_hash_seed():
+    # str, bytes and tuples of them hash differently per PYTHONHASHSEED; the
+    # partitioner must not, or one seed routes differently in two processes.
+    code = ("from repro.middleware import ModuloPartitioner; "
+            f"p = ModuloPartitioner({NODES!r}); "
+            "print([p.locate('t', k) for k in "
+            "('carol', b'carol', ('carol', 7), 2.5, True, False)])")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    routes = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        routes.append(proc.stdout)
+    assert routes[0] == routes[1]
+    located = ModuloPartitioner(NODES)
+    assert routes[0].strip() == repr(
+        [located.locate("t", k) for k in
+         ("carol", b"carol", ("carol", 7), 2.5, True, False)])
+
+
+def test_modulo_partitioner_routes_bools_as_their_integer_value():
+    partitioner = ModuloPartitioner(NODES)
+    assert partitioner.locate("t", True) == partitioner.locate("t", 1) == "ds1"
+    assert partitioner.locate("t", False) == partitioner.locate("t", 0) == "ds0"
 
 
 def test_modulo_partitioner_rejects_empty_nodes():
